@@ -813,7 +813,7 @@ pub fn run_convergence<const D: usize>(
         live.retain(|&(event_id, injected)| {
             if cluster.metrics().tag_inflight(event_id) == 0 {
                 fault_samples.push(r + 1 - injected);
-                cluster.net.clear_tag(event_id);
+                cluster.forget_event(event_id);
                 false
             } else {
                 true
@@ -841,7 +841,7 @@ pub fn run_convergence<const D: usize>(
         live.retain(|&(event_id, injected)| {
             if cluster.metrics().tag_inflight(event_id) == 0 {
                 fault_samples.push(now - injected);
-                cluster.net.clear_tag(event_id);
+                cluster.forget_event(event_id);
                 false
             } else {
                 true
@@ -851,9 +851,9 @@ pub fn run_convergence<const D: usize>(
     let now = schedule.duration + extra;
     for (event_id, injected) in live.drain(..) {
         fault_samples.push(now - injected);
-        cluster.net.clear_tag(event_id);
+        cluster.forget_event(event_id);
     }
-    cluster.net.retire_tags_below(cluster.next_event_id);
+    cluster.retire_events();
 
     // Recovery: rounds to the legality fixpoint, within the budget.
     // `check_legal` sees only a state snapshot, and the message queues

@@ -19,8 +19,6 @@
 //!   tagged message accounting keeps every per-event figure exact (see
 //!   [`drtree_sim::MsgTag`]).
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 
 use drtree_sim::{Metrics, ProcessId, RoundNetwork};
@@ -28,8 +26,9 @@ use drtree_spatial::{Point, Rect};
 
 use crate::config::DrTreeConfig;
 use crate::corruption::CorruptionKind;
+use crate::harness::Harness;
 use crate::legal::{self, Snapshot, Violation};
-use crate::message::{DrtMessage, DrtTimer, PubEvent};
+use crate::message::{DrtMessage, DrtTimer};
 use crate::protocol::node::DrtNode;
 use crate::state::NodeState;
 
@@ -119,9 +118,8 @@ impl PublishReport {
 pub struct DrTreeCluster<const D: usize> {
     pub(crate) net: RoundNetwork<DrtNode<D>>,
     config: DrTreeConfig,
-    pub(crate) next_event_id: u64,
-    /// Every id ever allocated (for adversarial corruption universes).
-    all_ids: Vec<ProcessId>,
+    /// Contact oracle, hints and delivery accounting.
+    pub(crate) harness: Harness<D>,
 }
 
 impl<const D: usize> DrTreeCluster<D> {
@@ -139,8 +137,7 @@ impl<const D: usize> DrTreeCluster<D> {
         Self {
             net: RoundNetwork::with_tick(seed, DrtTimer::Tick),
             config,
-            next_event_id: 0,
-            all_ids: Vec::new(),
+            harness: Harness::default(),
         }
     }
 
@@ -192,13 +189,8 @@ impl<const D: usize> DrTreeCluster<D> {
     /// Adds a subscriber with `filter`. It joins the overlay through the
     /// contact oracle during the following rounds.
     pub fn add_subscriber(&mut self, filter: Rect<D>) -> ProcessId {
-        let node = DrtNode::new(self.config, filter);
-        let id = self.net.add_process(node);
-        self.all_ids.push(id);
-        let contact = self.contact();
-        if let Some(n) = self.net.process_mut(id) {
-            n.set_contact_hint(contact.or(Some(id)));
-        }
+        let id = self.net.add_process(DrtNode::new(self.config, filter));
+        self.harness.add(id, filter);
         id
     }
 
@@ -208,7 +200,7 @@ impl<const D: usize> DrTreeCluster<D> {
         let id = self.add_subscriber(filter);
         let max_rounds = 40 + 4 * (self.height() as u64 + 2) + self.config.join_retry;
         for _ in 0..max_rounds {
-            let contact = self.contact();
+            let contact = self.root();
             let joined = self
                 .node(id)
                 .is_some_and(|n| !n.believes_root() || contact == Some(id));
@@ -253,14 +245,7 @@ impl<const D: usize> DrTreeCluster<D> {
     /// not an input condition: any finite filter set has one).
     pub fn build_bulk(config: DrTreeConfig, seed: u64, filters: &[Rect<D>]) -> Self {
         let mut cluster = Self::new(config, seed);
-        let ids: Vec<ProcessId> = filters
-            .iter()
-            .map(|&f| {
-                let id = cluster.net.add_process(DrtNode::new(config, f));
-                cluster.all_ids.push(id);
-                id
-            })
-            .collect();
+        let ids: Vec<ProcessId> = filters.iter().map(|&f| cluster.add_subscriber(f)).collect();
         for (id, state) in crate::bulk::bulk_states(&config, &ids, filters) {
             if let Some(node) = cluster.net.process_mut(id) {
                 *node.state_mut() = state;
@@ -281,16 +266,10 @@ impl<const D: usize> DrTreeCluster<D> {
         self.net.set_tick(enabled.then_some(DrtTimer::Tick));
     }
 
-    /// Executes one round (refreshing the contact oracle first).
+    /// Executes one round. Every node's contact hint holds the contact
+    /// oracle's answer for the state the round starts from.
     pub fn run_round(&mut self) {
-        let contact = self.contact();
-        let ids = self.net.ids();
-        for id in ids {
-            if let Some(n) = self.net.process_mut(id) {
-                n.set_contact_hint(contact.or(Some(id)));
-            }
-        }
-        self.net.run_round();
+        self.harness.step(&mut self.net, RoundNetwork::run_round);
     }
 
     /// Executes `n` rounds.
@@ -321,7 +300,7 @@ impl<const D: usize> DrTreeCluster<D> {
     ///
     /// Returns every violated condition.
     pub fn check_legal(&self) -> Result<(), Vec<Violation>> {
-        let v = legal::check_legal(&self.snapshot(), &self.config);
+        let v = legal::check_legal(&self.harness.states(&self.net), &self.config);
         if v.is_empty() {
             Ok(())
         } else {
@@ -338,38 +317,17 @@ impl<const D: usize> DrTreeCluster<D> {
     }
 
     /// The contact oracle (§3.2): the root of the largest tree
-    /// component — "a subscriber already in the structure".
+    /// component — "a subscriber already in the structure". Computed
+    /// afresh from every live node's state, in O(N).
     pub fn contact(&self) -> Option<ProcessId> {
-        let tops: BTreeMap<ProcessId, ProcessId> = self
-            .net
-            .iter()
-            .map(|(id, n)| (id, n.parent_of(n.top())))
-            .collect();
-        let mut sizes: BTreeMap<ProcessId, usize> = BTreeMap::new();
-        for &start in tops.keys() {
-            let mut cur = start;
-            let mut hops = 0;
-            loop {
-                let parent = tops.get(&cur).copied();
-                match parent {
-                    Some(p) if p != cur && tops.contains_key(&p) && hops <= tops.len() => {
-                        cur = p;
-                        hops += 1;
-                    }
-                    _ => break,
-                }
-            }
-            *sizes.entry(cur).or_insert(0) += 1;
-        }
-        sizes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(root, _)| root)
+        self.harness.compute_contact(&self.net)
     }
 
-    /// The overlay root (the contact, in a legal configuration).
+    /// The overlay root (the contact, in a legal configuration): the
+    /// contact the last round's pass computed, unless the harness has
+    /// changed the state since.
     pub fn root(&self) -> Option<ProcessId> {
-        self.contact()
+        self.harness.current_contact(&self.net)
     }
 
     /// Height of the main tree: the root's topmost level (leaf-only
@@ -391,21 +349,25 @@ impl<const D: usize> DrTreeCluster<D> {
         self.run_round();
         self.run_round();
         // … then the process is gone.
-        self.net.crash(id);
+        self.crash(id);
     }
 
     /// Uncontrolled departure (crash failure): the subscriber vanishes
     /// silently.
     pub fn crash(&mut self, id: ProcessId) {
         self.net.crash(id);
+        self.harness.touch(&self.net, id);
     }
 
     /// Applies an adversarial corruption to one subscriber's memory
     /// (Lemma 3.6's transient faults). Returns `false` if it is dead.
     pub fn corrupt(&mut self, id: ProcessId, kind: CorruptionKind) -> bool {
-        let universe = self.all_ids.clone();
-        self.net
-            .corrupt(id, |node, rng| kind.apply(node.state_mut(), &universe, rng))
+        let universe = &self.harness.all_ids;
+        let alive = self
+            .net
+            .corrupt(id, |node, rng| kind.apply(node.state_mut(), universe, rng));
+        self.harness.touch(&self.net, id);
+        alive
     }
 
     /// Replaces the network fault profile (message loss, duplication,
@@ -452,7 +414,9 @@ impl<const D: usize> DrTreeCluster<D> {
         id: ProcessId,
         f: impl FnOnce(&mut NodeState<D>, &mut StdRng),
     ) -> bool {
-        self.net.corrupt(id, |node, rng| f(node.state_mut(), rng))
+        let alive = self.net.corrupt(id, |node, rng| f(node.state_mut(), rng));
+        self.harness.touch(&self.net, id);
+        alive
     }
 
     /// Replaces a live subscriber's filter in place — the mobility
@@ -467,13 +431,15 @@ impl<const D: usize> DrTreeCluster<D> {
     /// afterwards to let the repair converge before the next publish.
     /// Returns `false` if the subscriber is dead.
     pub fn move_subscriber(&mut self, id: ProcessId, filter: Rect<D>) -> bool {
-        self.net.corrupt(id, |node, _| {
+        let alive = self.net.corrupt(id, |node, _| {
             let state = node.state_mut();
             state.filter = filter;
             if let Some(leaf) = state.level_mut(0) {
                 leaf.mbr = filter;
             }
-        })
+        });
+        self.harness.touch(&self.net, id);
+        alive
     }
 
     /// Publishes `point` from `publisher` and accounts the outcome.
@@ -486,10 +452,12 @@ impl<const D: usize> DrTreeCluster<D> {
         let event_id = self.inject(publisher, point);
         let rounds = 2 * (u64::from(self.height()) + 2) + 2;
         self.run_rounds(rounds);
-        let report = self.finalize(publisher, point, event_id, rounds);
+        let report = self
+            .harness
+            .finalize(&mut self.net, publisher, point, event_id, rounds);
         // If the drain budget did not suffice (corrupted overlays),
         // retire the id so late traffic cannot re-create counters.
-        self.net.retire_tags_below(self.next_event_id);
+        self.retire_events();
         report
     }
 
@@ -561,7 +529,11 @@ impl<const D: usize> DrTreeCluster<D> {
                 }
                 let (publisher, point) = events[idx];
                 let rounds = self.round() - injected;
-                reports[idx] = Some(self.finalize(publisher, point, event_id, rounds));
+                reports[idx] =
+                    Some(
+                        self.harness
+                            .finalize(&mut self.net, publisher, point, event_id, rounds),
+                    );
                 live.swap_remove(i);
             }
         }
@@ -569,7 +541,7 @@ impl<const D: usize> DrTreeCluster<D> {
         // range keeps traffic of force-finalized events that still
         // circulates in a corrupted overlay from re-creating per-tag
         // counter entries nobody would ever clear.
-        self.net.retire_tags_below(self.next_event_id);
+        self.retire_events();
         reports
             .into_iter()
             .map(|r| r.expect("every event finalized"))
@@ -580,61 +552,23 @@ impl<const D: usize> DrTreeCluster<D> {
     /// visible so the adversary harness ([`crate::adversary`]) can
     /// drive its own pipeline loop interleaved with fault injection.
     pub(crate) fn inject(&mut self, publisher: ProcessId, point: Point<D>) -> u64 {
-        let event_id = self.next_event_id;
-        self.next_event_id += 1;
-        let event = PubEvent {
-            id: event_id,
-            point,
-            publisher,
-        };
+        let event = self.harness.open(publisher, point);
+        let event_id = event.id;
         self.net
             .send_external(publisher, DrtMessage::PublishRequest { event });
         event_id
     }
 
-    /// Accounts one completed event: who received it, who should have,
-    /// and its tag-scoped message bill (the tag is then forgotten).
-    fn finalize(
-        &mut self,
-        publisher: ProcessId,
-        point: Point<D>,
-        event_id: u64,
-        rounds: u64,
-    ) -> PublishReport {
-        let mut receivers = Vec::new();
-        let mut matching = Vec::new();
-        let mut false_positives = Vec::new();
-        let mut false_negatives = Vec::new();
-        for (id, node) in self.net.iter() {
-            if id == publisher {
-                continue;
-            }
-            let received = node.pubsub().has_seen(event_id);
-            let matches = node.filter().contains_point(&point);
-            if received {
-                receivers.push(id);
-            }
-            if matches {
-                matching.push(id);
-            }
-            if received && !matches {
-                false_positives.push(id);
-            }
-            if matches && !received {
-                false_negatives.push(id);
-            }
-        }
-        let messages = self.net.metrics().tag_count(event_id);
-        self.net.clear_tag(event_id);
-        PublishReport {
-            event_id,
-            receivers,
-            matching,
-            false_positives,
-            false_negatives,
-            messages,
-            rounds,
-        }
+    /// Drops an injected event without accounting its delivery (its
+    /// receipts and message counters are forgotten).
+    pub(crate) fn forget_event(&mut self, event_id: u64) {
+        self.harness.forget(&mut self.net, event_id);
+    }
+
+    /// Retires every event id allocated so far: late traffic can no
+    /// longer re-create message counters or receipt lists.
+    pub(crate) fn retire_events(&mut self) {
+        self.harness.retire(&mut self.net);
     }
 
     /// Maximum and mean per-process memory entries (Lemma 3.1's

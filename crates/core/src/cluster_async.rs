@@ -25,8 +25,9 @@ use drtree_spatial::{Point, Rect};
 use crate::cluster::PublishReport;
 use crate::config::DrTreeConfig;
 use crate::corruption::CorruptionKind;
+use crate::harness::Harness;
 use crate::legal::{self, Snapshot, Violation};
-use crate::message::{DrtMessage, PubEvent};
+use crate::message::DrtMessage;
 use crate::protocol::node::DrtNode;
 
 /// A DR-tree overlay on the asynchronous discrete-event engine.
@@ -54,10 +55,10 @@ use crate::protocol::node::DrtNode;
 /// cluster.stabilize(200_000).expect("legal under asynchrony");
 /// ```
 pub struct AsyncDrTreeCluster<const D: usize> {
-    net: EventNetwork<DrtNode<D>>,
+    pub(crate) net: EventNetwork<DrtNode<D>>,
     config: DrTreeConfig,
-    next_event_id: u64,
-    all_ids: Vec<ProcessId>,
+    /// Contact oracle, hints and delivery accounting.
+    pub(crate) harness: Harness<D>,
 }
 
 impl<const D: usize> AsyncDrTreeCluster<D> {
@@ -75,8 +76,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         Self {
             net: EventNetwork::new(net_config, seed),
             config,
-            next_event_id: 0,
-            all_ids: Vec::new(),
+            harness: Harness::default(),
         }
     }
 
@@ -97,14 +97,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         filters: &[Rect<D>],
     ) -> Self {
         let mut cluster = Self::new(config, net_config, seed);
-        let ids: Vec<ProcessId> = filters
-            .iter()
-            .map(|&f| {
-                let id = cluster.net.add_process(DrtNode::new(config, f));
-                cluster.all_ids.push(id);
-                id
-            })
-            .collect();
+        let ids: Vec<ProcessId> = filters.iter().map(|&f| cluster.add_subscriber(f)).collect();
         for (id, state) in crate::bulk::bulk_states(&config, &ids, filters) {
             if let Some(node) = cluster.net.process_mut(id) {
                 *node.state_mut() = state;
@@ -161,10 +154,8 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
 
     /// Adds a subscriber; it joins through the oracle as its ticks run.
     pub fn add_subscriber(&mut self, filter: Rect<D>) -> ProcessId {
-        let node = DrtNode::new(self.config, filter);
-        let id = self.net.add_process(node);
-        self.all_ids.push(id);
-        self.refresh_hints();
+        let id = self.net.add_process(DrtNode::new(self.config, filter));
+        self.harness.add(id, filter);
         id
     }
 
@@ -175,8 +166,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         let deadline = self.net.now() + duration;
         while self.net.now() < deadline {
             let next = (self.net.now() + step).min(deadline);
-            self.refresh_hints();
-            self.net.run_until(next);
+            self.harness.step(&mut self.net, |net| net.run_until(next));
         }
     }
 
@@ -203,7 +193,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
     ///
     /// Returns every violated condition.
     pub fn check_legal(&self) -> Result<(), Vec<Violation>> {
-        let v = legal::check_legal(&self.snapshot(), &self.config);
+        let v = legal::check_legal(&self.harness.states(&self.net), &self.config);
         if v.is_empty() {
             Ok(())
         } else {
@@ -220,37 +210,15 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
             .collect()
     }
 
-    /// The contact oracle: root of the largest component.
+    /// The contact oracle: root of the largest component (see
+    /// [`crate::DrTreeCluster::contact`]).
     pub fn contact(&self) -> Option<ProcessId> {
-        let tops: std::collections::BTreeMap<ProcessId, ProcessId> = self
-            .net
-            .ids()
-            .into_iter()
-            .filter_map(|id| self.net.process(id).map(|n| (id, n.parent_of(n.top()))))
-            .collect();
-        let mut sizes: std::collections::BTreeMap<ProcessId, usize> =
-            std::collections::BTreeMap::new();
-        for &start in tops.keys() {
-            let mut cur = start;
-            let mut hops = 0;
-            while let Some(&p) = tops.get(&cur) {
-                if p == cur || !tops.contains_key(&p) || hops > tops.len() {
-                    break;
-                }
-                cur = p;
-                hops += 1;
-            }
-            *sizes.entry(cur).or_insert(0) += 1;
-        }
-        sizes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(root, _)| root)
+        self.harness.compute_contact(&self.net)
     }
 
-    /// The overlay root.
+    /// The overlay root (see [`crate::DrTreeCluster::root`]).
     pub fn root(&self) -> Option<ProcessId> {
-        self.contact()
+        self.harness.current_contact(&self.net)
     }
 
     /// Height of the main tree.
@@ -263,6 +231,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
     /// Uncontrolled departure.
     pub fn crash(&mut self, id: ProcessId) {
         self.net.crash(id);
+        self.harness.touch(&self.net, id);
     }
 
     /// Controlled departure (Fig. 9): deliver the depart request, give
@@ -273,7 +242,7 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         }
         self.net.send_external(id, DrtMessage::DepartRequest);
         self.run_for(2 * self.config.tick_interval);
-        self.net.crash(id);
+        self.crash(id);
     }
 
     /// Replaces the network fault profile (loss, duplication,
@@ -295,9 +264,12 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
 
     /// Adversarial memory corruption (Lemma 3.6).
     pub fn corrupt(&mut self, id: ProcessId, kind: CorruptionKind) -> bool {
-        let universe = self.all_ids.clone();
-        self.net
-            .corrupt(id, |node, rng| kind.apply(node.state_mut(), &universe, rng))
+        let universe = &self.harness.all_ids;
+        let alive = self
+            .net
+            .corrupt(id, |node, rng| kind.apply(node.state_mut(), universe, rng));
+        self.harness.touch(&self.net, id);
+        alive
     }
 
     /// Publishes `point` from `publisher` and accounts the delivery
@@ -308,10 +280,12 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
         let event_id = self.inject(publisher, point);
         let duration = 2 * (u64::from(self.height()) + 2) * self.config.tick_interval;
         self.run_for(duration);
-        let report = self.finalize(publisher, point, event_id, duration);
+        let report = self
+            .harness
+            .finalize(&mut self.net, publisher, point, event_id, duration);
         // If the drain budget did not suffice (loss, corruption),
         // retire the id so late traffic cannot re-create counters.
-        self.net.retire_tags_below(self.next_event_id);
+        self.retire_events();
         report
     }
 
@@ -373,14 +347,18 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
                 }
                 let (publisher, point) = events[idx];
                 let elapsed = self.now() - injected;
-                reports[idx] = Some(self.finalize(publisher, point, event_id, elapsed));
+                reports[idx] =
+                    Some(
+                        self.harness
+                            .finalize(&mut self.net, publisher, point, event_id, elapsed),
+                    );
                 live.swap_remove(i);
             }
         }
         // Every tag this call allocated is finalized; retiring the id
         // range keeps traffic of force-finalized events that still
         // circulates from re-creating per-tag counter entries.
-        self.net.retire_tags_below(self.next_event_id);
+        self.retire_events();
         reports
             .into_iter()
             .map(|r| r.expect("every event finalized"))
@@ -388,73 +366,18 @@ impl<const D: usize> AsyncDrTreeCluster<D> {
     }
 
     /// Allocates an event id and injects the publish request.
-    fn inject(&mut self, publisher: ProcessId, point: Point<D>) -> u64 {
-        let event_id = self.next_event_id;
-        self.next_event_id += 1;
-        let event = PubEvent {
-            id: event_id,
-            point,
-            publisher,
-        };
+    pub(crate) fn inject(&mut self, publisher: ProcessId, point: Point<D>) -> u64 {
+        let event = self.harness.open(publisher, point);
+        let event_id = event.id;
         self.net
             .send_external(publisher, DrtMessage::PublishRequest { event });
         event_id
     }
 
-    /// Accounts one completed event and forgets its tag.
-    fn finalize(
-        &mut self,
-        publisher: ProcessId,
-        point: Point<D>,
-        event_id: u64,
-        rounds: u64,
-    ) -> PublishReport {
-        let mut receivers = Vec::new();
-        let mut matching = Vec::new();
-        let mut false_positives = Vec::new();
-        let mut false_negatives = Vec::new();
-        for id in self.net.ids() {
-            if id == publisher {
-                continue;
-            }
-            let Some(node) = self.net.process(id) else {
-                continue;
-            };
-            let received = node.pubsub().has_seen(event_id);
-            let matches = node.filter().contains_point(&point);
-            if received {
-                receivers.push(id);
-            }
-            if matches {
-                matching.push(id);
-            }
-            if received && !matches {
-                false_positives.push(id);
-            }
-            if matches && !received {
-                false_negatives.push(id);
-            }
-        }
-        let messages = self.metrics().tag_count(event_id);
-        self.net.clear_tag(event_id);
-        PublishReport {
-            event_id,
-            receivers,
-            matching,
-            false_positives,
-            false_negatives,
-            messages,
-            rounds,
-        }
-    }
-
-    fn refresh_hints(&mut self) {
-        let contact = self.contact();
-        for id in self.net.ids() {
-            if let Some(n) = self.net.process_mut(id) {
-                n.set_contact_hint(contact.or(Some(id)));
-            }
-        }
+    /// Retires every event id allocated so far (see
+    /// [`crate::DrTreeCluster::publish_pipeline_from`]).
+    pub(crate) fn retire_events(&mut self) {
+        self.harness.retire(&mut self.net);
     }
 }
 

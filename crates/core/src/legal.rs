@@ -13,6 +13,7 @@
 //! stabilization experiments (Lemmas 3.2–3.6) count the rounds until it
 //! returns no violations.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -148,8 +149,11 @@ pub type Snapshot<const D: usize> = BTreeMap<ProcessId, NodeState<D>>;
 
 /// Checks Definition 3.1/3.2 on a snapshot. Empty result = legitimate
 /// configuration.
-pub fn check_legal<const D: usize>(
-    snapshot: &Snapshot<D>,
+///
+/// The states may be owned (a [`Snapshot`]) or borrowed (a map of
+/// `&NodeState`, as the clusters pass to avoid cloning every state).
+pub fn check_legal<const D: usize, V: Borrow<NodeState<D>>>(
+    snapshot: &BTreeMap<ProcessId, V>,
     config: &DrTreeConfig,
 ) -> Vec<Violation> {
     let mut v = Vec::new();
@@ -161,6 +165,7 @@ pub fn check_legal<const D: usize>(
 
     // ---- local invariants ------------------------------------------------
     for (&id, st) in snapshot {
+        let st = st.borrow();
         // contiguity 0..=top
         let contiguous = st.levels.keys().enumerate().all(|(i, &l)| l == i as Level);
         if !contiguous {
@@ -210,7 +215,7 @@ pub fn check_legal<const D: usize>(
     // ---- single root ------------------------------------------------------
     let roots: Vec<ProcessId> = snapshot
         .iter()
-        .filter(|(&id, st)| st.believes_root(id))
+        .filter(|(&id, st)| (*st).borrow().believes_root(id))
         .map(|(&id, _)| id)
         .collect();
     match roots.as_slice() {
@@ -223,6 +228,7 @@ pub fn check_legal<const D: usize>(
 
     // ---- reference coherence + structural checks --------------------------
     for (&id, st) in snapshot {
+        let st = st.borrow();
         let top = st.top();
         for (&l, inst) in &st.levels {
             if l == 0 {
@@ -248,7 +254,7 @@ pub fn check_legal<const D: usize>(
             // children coherence + caches + exact MBR + cover
             let mut actual_union: Option<drtree_spatial::Rect<D>> = None;
             let mut own_below_area = f64::NEG_INFINITY;
-            if let Some(own) = snapshot.get(&id).and_then(|s| s.summary_at(id, l - 1)) {
+            if let Some(own) = st.summary_at(id, l - 1) {
                 own_below_area = own.mbr.area();
             }
             for (&c, info) in &inst.children {
@@ -277,7 +283,7 @@ pub fn check_legal<const D: usize>(
                     }
                     continue;
                 }
-                match snapshot.get(&c) {
+                match snapshot.get(&c).map(Borrow::borrow) {
                     None => v.push(Violation::Incoherent {
                         id,
                         level: l,
@@ -337,7 +343,7 @@ pub fn check_legal<const D: usize>(
         // upward coherence of the topmost instance
         if let Some(inst) = st.level(top) {
             if inst.parent != id {
-                match snapshot.get(&inst.parent) {
+                match snapshot.get(&inst.parent).map(Borrow::borrow) {
                     None => v.push(Violation::Incoherent {
                         id,
                         level: top,
@@ -370,7 +376,7 @@ pub fn check_legal<const D: usize>(
             if !reached.insert(p) {
                 continue;
             }
-            if let Some(st) = snapshot.get(&p) {
+            if let Some(st) = snapshot.get(&p).map(Borrow::borrow) {
                 for inst in st.levels.values() {
                     for &c in inst.children.keys() {
                         if c != p && snapshot.contains_key(&c) {
@@ -391,7 +397,10 @@ pub fn check_legal<const D: usize>(
 }
 
 /// `true` iff the snapshot is a legitimate configuration.
-pub fn is_legal<const D: usize>(snapshot: &Snapshot<D>, config: &DrTreeConfig) -> bool {
+pub fn is_legal<const D: usize, V: Borrow<NodeState<D>>>(
+    snapshot: &BTreeMap<ProcessId, V>,
+    config: &DrTreeConfig,
+) -> bool {
     check_legal(snapshot, config).is_empty()
 }
 

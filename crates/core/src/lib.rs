@@ -70,6 +70,7 @@ mod cluster_async;
 mod config;
 pub mod corruption;
 pub mod federation;
+mod harness;
 pub mod legal;
 mod message;
 pub mod protocol;

@@ -20,7 +20,7 @@ pub(crate) type Ctx<'a, const D: usize> = Context<'a, DrtMessage<D>, DrtTimer>;
 /// busy interior node sees every in-flight event, and an event's
 /// receipt must still be in the ring when the harness accounts its
 /// deliveries at quiescence (at most ~3 windows of newer events later).
-const RECENT_EVENTS: usize = 1024;
+pub(crate) const RECENT_EVENTS: usize = 1024;
 
 /// Publish/subscribe bookkeeping of one subscriber.
 #[derive(Debug, Clone, Default)]
@@ -92,6 +92,12 @@ pub struct DrtNode<const D: usize> {
     /// CHECK_COVER suspended until this tick (set by FP promotions).
     pub(crate) cover_suspended_until: u64,
     pub(crate) pubsub: PubSubState,
+    /// First receipts of events published by others, oldest first —
+    /// the delivery log the harness drains once per round (see
+    /// `crate::harness`). Capped at the recently-seen ring's capacity:
+    /// an entry older than that many newer receipts has left the ring
+    /// too, so `has_seen` no longer reports it either.
+    pub(crate) receipts: VecDeque<u64>,
     pub(crate) now: u64,
 }
 
@@ -109,6 +115,7 @@ impl<const D: usize> DrtNode<D> {
             join_sent_at: None,
             cover_suspended_until: 0,
             pubsub: PubSubState::default(),
+            receipts: VecDeque::new(),
             now: 0,
         }
     }
@@ -472,6 +479,10 @@ impl<const D: usize> DrtNode<D> {
         if event.publisher == self.id {
             return true;
         }
+        if self.receipts.len() == RECENT_EVENTS {
+            self.receipts.pop_front();
+        }
+        self.receipts.push_back(event.id);
         self.pubsub.received_total += 1;
         let matched = self.state.filter.contains_point(&event.point);
         if !matched {

@@ -60,11 +60,12 @@ use crate::broker::{Broker, BrokerError};
 use crate::shard::OracleSnapshot;
 use crate::stats::RoutingStats;
 
-/// Round budget for the overlay repair that completes every departure
-/// ([`MultiBroker::unsubscribe`] / [`PublisherHandle::leave`]). A
-/// controlled leave takes O(tree height) repair rounds; this bound is
-/// orders of magnitude above what any realistic overlay needs.
-const LEAVE_STABILIZE_BUDGET: u64 = 100_000;
+/// Round budget for the overlay repair that completes every membership
+/// change ([`MultiBroker::subscribe_rect`], [`MultiBroker::unsubscribe`],
+/// [`PublisherHandle::leave`]). A join or a controlled leave takes
+/// O(tree height) repair rounds; this bound is orders of magnitude above
+/// what any realistic overlay needs.
+const REPAIR_STABILIZE_BUDGET: u64 = 100_000;
 
 /// Errors surfaced by the publish side of the ingress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -626,16 +627,25 @@ impl<const D: usize> CommitState<D> {
     }
 
     /// Post-departure bookkeeping shared by unsubscribe and leave:
-    /// repairs the overlay back to a legitimate configuration *inside
-    /// the same serialized command*, so no commit ever publishes into
-    /// the transiently illegal post-leave overlay (which would cost
-    /// false negatives), and records both steps for replay.
+    /// records the departure, then [`CommitState::repair`]s.
     fn depart_repair(&mut self, id: ProcessId) {
-        self.broker.stabilize(LEAVE_STABILIZE_BUDGET);
         if self.config.audit_log {
             self.audit.push(AuditRecord::Unsubscribe { id });
+        }
+        self.repair();
+    }
+
+    /// Repairs the overlay back to a legitimate configuration *inside
+    /// the serialized command that changed membership*, so no commit
+    /// ever publishes into a transiently reorganizing overlay (which
+    /// could cost false negatives, and would let batched commits and a
+    /// per-event replay see different structures), records the repair
+    /// for replay, and republishes the oracle snapshot.
+    fn repair(&mut self) {
+        self.broker.stabilize(REPAIR_STABILIZE_BUDGET);
+        if self.config.audit_log {
             self.audit.push(AuditRecord::Stabilize {
-                max_rounds: LEAVE_STABILIZE_BUDGET,
+                max_rounds: REPAIR_STABILIZE_BUDGET,
             });
         }
         if self.config.refresh_snapshots {
@@ -893,17 +903,18 @@ impl<const D: usize> MultiBroker<D> {
     }
 
     /// Registers a subscription rectangle (joins the overlay), in FIFO
-    /// order with every other control operation and commit.
+    /// order with every other control operation and commit. The overlay
+    /// is repaired back to a legitimate configuration before the
+    /// command completes (audited as a `Subscribe` followed by a
+    /// `Stabilize`), so commits racing a join stay false-negative-free
+    /// and replay exactly.
     pub fn subscribe_rect(&self, rect: Rect<D>) -> ProcessId {
         self.call(move |state| {
             let id = state.broker.subscribe_rect(rect);
             if state.config.audit_log {
                 state.audit.push(AuditRecord::Subscribe { id, rect });
             }
-            if state.config.refresh_snapshots {
-                let snap = Arc::new(state.broker.oracle_snapshot());
-                *state.shared.snapshot.lock().expect("snapshot lock") = snap;
-            }
+            state.repair();
             id
         })
     }
